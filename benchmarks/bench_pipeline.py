@@ -1,54 +1,26 @@
-"""Pipeline bench: fused engine vs per-workload, experiment cache vs none.
+"""Pipeline bench: the fused engine vs per-workload simulation.
 
 An experiment runs in one process as one fused mega-batch (§IV: 23
-training and 4 testing workloads).  This bench measures the two levers
-that remain:
-
-- **fused vs per-workload** simulation of the full task list, with a
-  bit-identical-output check (the same equivalence the
-  ``fused_experiment`` guard samples in production), asserted >= 2x on
-  the sim phase;
-- **cold vs warm experiment cache vs no cache** for the whole
-  experiment: a cold store is a simulation plus a JSON encode and
-  checksum, a warm hit a load.  These rows are the data for deciding
-  what the cache should keep.
-
-Results land in ``BENCH_pipeline.json``.  Result equality, the fused
-sim-phase speedup and a sub-second warm load are asserted; the cache
-timings are otherwise recorded as measured.
+training and 4 testing workloads).  This bench simulates the full task
+list both ways at paper scale, checks that every fused run is
+bit-identical to its per-workload run (the same equivalence the
+``fused_experiment`` guard samples in production), asserts the fused
+sim phase is >= 2x faster, and writes the timings to
+``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import time
 
-from conftest import OUT_DIR, write_artifact
+from conftest import write_artifact
 
-from repro.pipeline import ExperimentConfig, run_experiment, run_workload
-from repro.runtime import ExperimentCache
+from repro.pipeline import ExperimentConfig, run_workload
 from repro.runtime.fused import runs_equal, simulate_tasks_fused
 from repro.runtime.plan import ExecutionPlan
 from repro.uarch import skylake_gold_6126
-
-BENCH_CACHE = OUT_DIR / "bench-pipeline-cache"
-
-
-def _analysis_signature(result) -> dict:
-    """Everything Table II / Figure 7 consume, for exact-equality checks."""
-    signature = {}
-    for name in sorted(result.testing_runs):
-        report = result.analyze(name)
-        run = result.testing_runs[name]
-        signature[name] = {
-            "measured_ipc": run.measured_ipc,
-            "tma_category": run.table1_category,
-            "estimated_throughput": report.estimated_throughput,
-            "ranking": [(e.metric, e.estimate) for e in report.ranking],
-        }
-    return signature
 
 
 def test_fused_vs_per_workload(out_dir):
@@ -75,57 +47,17 @@ def test_fused_vs_per_workload(out_dir):
     sim_speedup = per_workload_s / fused_s
     assert sim_speedup >= 2.0
 
-    test_fused_vs_per_workload.payload = {
-        "tasks": len(plan.tasks),
-        "sim_fused_s": round(fused_s, 4),
-        "sim_per_workload_s": round(per_workload_s, 4),
-        "sim_fused_speedup": round(sim_speedup, 3),
-    }
-
-
-def test_pipeline_cache(out_dir):
-    config = ExperimentConfig()  # full paper scale
-
-    started = time.perf_counter()
-    uncached = run_experiment(config)
-    uncached_s = time.perf_counter() - started
-
-    shutil.rmtree(BENCH_CACHE, ignore_errors=True)
-    started = time.perf_counter()
-    cold = run_experiment(config, cache=BENCH_CACHE)
-    cold_s = time.perf_counter() - started
-
-    # A warm load is a pure read; time the best of three to keep the
-    # measurement independent of allocator/GC state left by other benches.
-    warm_times = []
-    for _ in range(3):
-        started = time.perf_counter()
-        warm = run_experiment(config, cache=BENCH_CACHE)
-        warm_times.append(time.perf_counter() - started)
-    warm_s = min(warm_times)
-
-    signature = _analysis_signature(uncached)
-    assert _analysis_signature(cold) == signature
-    assert _analysis_signature(warm) == signature
-    assert len(ExperimentCache(BENCH_CACHE)) == 1
-    # The whole point of the cache: a warm load lands well under a second
-    # on current hardware.
-    assert warm_s < 1.0
-
     payload = {
         "config": {
             "train_windows": config.train_windows,
             "test_windows": config.test_windows,
-            "workloads": len(uncached.training_runs) + len(uncached.testing_runs),
+            "workloads": len(plan.tasks),
         },
         "cpu_count": os.cpu_count(),
-        "no_cache_s": round(uncached_s, 4),
-        "cache_cold_s": round(cold_s, 4),
-        "cache_warm_s": round(warm_s, 4),
-        # Above 1.0 only when a warm hit beats recomputing.
-        "cache_hit_speedup": round(uncached_s / warm_s, 2),
+        "sim_fused_s": round(fused_s, 4),
+        "sim_per_workload_s": round(per_workload_s, 4),
+        "sim_fused_speedup": round(sim_speedup, 3),
     }
-    payload.update(getattr(test_fused_vs_per_workload, "payload", {}))
     text = json.dumps(payload, indent=2)
     print()
     print(text)

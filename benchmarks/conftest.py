@@ -1,19 +1,13 @@
 """Shared fixtures for the reproduction benchmarks.
 
 One full-scale experiment (23 training + 4 testing workloads on the
-simulated Xeon Gold 6126) is simulated once and shared by the
-per-table/per-figure benchmarks.  The result is memoized in-process *and*
-persisted to the on-disk experiment cache under ``benchmarks/out/``, so
-separate bench processes (and re-runs) share one simulation pass instead
-of each re-paying it.  Artifacts (rendered tables, SVG figures) are
-written to ``benchmarks/out/``.
-
-``SPIRE_CACHE_DIR`` overrides the bench cache directory.
+simulated Xeon Gold 6126) is simulated once per bench process, memoized
+in-process, and shared by the per-table/per-figure benchmarks.  Artifacts
+(rendered tables, SVG figures) are written to ``benchmarks/out/``.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -21,13 +15,12 @@ import pytest
 from repro.pipeline import ExperimentConfig, cached_experiment
 
 OUT_DIR = Path(__file__).parent / "out"
-CACHE_DIR = Path(os.environ.get("SPIRE_CACHE_DIR") or OUT_DIR / "cache")
 
 
 @pytest.fixture(scope="session")
 def experiment():
     """The full reproduction experiment (paper §IV scale, reduced runtime)."""
-    return cached_experiment(ExperimentConfig(), cache_dir=CACHE_DIR)
+    return cached_experiment(ExperimentConfig())
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,10 @@ Subcommands mirror the paper's workflow:
 - ``workloads`` — list the evaluation suite;
 - ``report``    — run the paper's full evaluation (optionally archived);
 - ``faultsim``  — fault-injection smoke: prove the pipeline survives
-  corrupt samples, dropped metrics, corrupted cache entries, kernel
-  divergences, stream drift and serving-worker chaos (see
-  ``docs/robustness.md``);
-- ``doctor``    — scan an experiment cache directory, quarantine
-  corrupted entries and report the quarantine;
+  corrupt samples, dropped metrics, kernel divergences, stream drift and
+  serving-worker chaos (see ``docs/robustness.md``);
+- ``doctor``    — probe a running ``spire serve`` process and report its
+  long-lived state;
 - ``coverage``  — §III-A training-data diversity check;
 - ``derived``   — standard counter ratios (IPC, MPKI, DSB coverage, ...);
 - ``whatif``    — projected speedups from improving top metrics;
@@ -206,7 +205,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from repro.pipeline import run_experiment_with_report
@@ -216,17 +214,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         test_windows=args.test_windows,
         seed=args.seed,
     )
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or os.environ.get("SPIRE_CACHE_DIR") or None
     print(
         f"running the full evaluation: 23 training + 4 testing workloads "
-        f"({config.train_windows}/{config.test_windows} windows, "
-        + (f"cache={cache_dir}" if cache_dir else "cache off")
-        + ") ..."
+        f"({config.train_windows}/{config.test_windows} windows) ..."
     )
     started = time.perf_counter()
-    result, run_report = run_experiment_with_report(config, cache=cache_dir)
+    result, run_report = run_experiment_with_report(config)
     print(f"experiment ready in {time.perf_counter() - started:.2f}s")
     if run_report.health is not None and not run_report.health.ok:
         print(run_report.health.render())
@@ -382,8 +375,7 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
 
     Exit code 0 means the experiment completed under injection AND every
     injected fault left its trace: a collector fault degraded its target's
-    quality report, a kernel divergence tripped that kernel, a corrupted
-    cache entry landed in quarantine.
+    quality report, a kernel divergence tripped that kernel.
     """
     import warnings
 
@@ -403,9 +395,6 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     names = [w.name for w in all_workloads()]
-    if args.corrupt_cache_entries and not args.cache_dir:
-        print("error: --corrupt-cache-entries requires --cache-dir")
-        return 2
     plan = FaultPlan.random(
         names,
         seed=args.fault_seed,
@@ -413,7 +402,6 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         drop_metrics=args.drop_metrics,
         times=10_000 if args.persistent else 1,
         diverge_kernels=args.diverge_kernels,
-        corrupt_cache_entries=args.corrupt_cache_entries,
     )
     print(f"fault plan ({len(plan)} fault(s), seed {args.fault_seed}):")
     for spec in plan.specs:
@@ -421,21 +409,14 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     print(f"running {len(names)} workloads in process ...")
 
     baseline = None
-    if args.verify_baseline or plan.cache_corruptions():
-        # A fault-free pass first: it is the bit-identical baseline for
-        # --verify-baseline and, when corruption is planned, it warms the
-        # cache entry that corrupt-cache-entry then truncates.  The cache
-        # is only warmed in that case — an intact warm entry would
-        # short-circuit the faulted run before any fault could fire.
+    if args.verify_baseline:
+        # A fault-free pass first: the bit-identical baseline.
         print("running the fault-free baseline first ...")
-        warm_cache = args.cache_dir if plan.cache_corruptions() else None
-        baseline = run_experiment(config, cache=warm_cache or None)
+        baseline = run_experiment(config)
 
     with warnings.catch_warnings():
         warnings.simplefilter("always", DegradedDataWarning)
-        result, report = run_experiment_with_report(
-            config, cache=args.cache_dir or None, faults=plan
-        )
+        result, report = run_experiment_with_report(config, faults=plan)
 
     print()
     print(report.render())
@@ -448,16 +429,12 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         if quality is None or quality.ok:
             missing.append(f"collector fault on {name}")
 
-    # Guard-level faults must show up in the health report: a divergence
-    # trips its kernel, a corrupted entry lands in the quarantine.
+    # A kernel divergence must show up in the health report as a trip.
     health = report.health
     for spec in plan.diverge_kernels():
         tripped = health is not None and spec.workload in health.tripped_kernels
         if not tripped:
             missing.append(f"{spec.kind} on {spec.workload}")
-    if plan.cache_corruptions():
-        if health is None or not health.artifacts_quarantined:
-            missing.append("corrupt-cache-entry left nothing in quarantine")
 
     divergent = []
     if baseline is not None:
@@ -583,40 +560,24 @@ def _faultsim_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    """Scan an experiment cache directory for integrity failures.
+    """Probe a running ``spire serve`` process and render its health.
 
-    Every cache entry is checksum-verified; failures are
-    quarantined (moved into ``.quarantine/``, never deleted).  ``--prune``
-    empties the quarantine afterwards.  With ``--serve-url`` the doctor
-    instead probes a running ``spire serve`` process and renders its
-    long-lived state: registry occupancy and evictions, micro-batch fill,
-    backpressure and guard counters.  Exit code 0 means healthy.
+    Shows the server's long-lived state: registry occupancy and
+    evictions, micro-batch fill, backpressure and guard counters.  Exit
+    code 0 means healthy.
     """
-    import os
-
     from repro.guard.doctor import (
-        doctor_cache_dir,
         probe_server,
         render_server_health,
         server_health_problems,
     )
 
-    if args.serve_url:
-        payload = probe_server(args.serve_url)
-        print(render_server_health(payload))
-        problems = server_health_problems(payload)
-        for problem in problems:
-            print(f"  PROBLEM: {problem}")
-        return 0 if not problems else 1
-
-    directory = (
-        args.cache_dir
-        or os.environ.get("SPIRE_CACHE_DIR")
-        or str(Path.home() / ".cache" / "spire" / "experiments")
-    )
-    report = doctor_cache_dir(directory, prune=args.prune)
-    print(report.render())
-    return 0 if report.ok else 1
+    payload = probe_server(args.serve_url)
+    print(render_server_health(payload))
+    problems = server_health_problems(payload)
+    for problem in problems:
+        print(f"  PROBLEM: {problem}")
+    return 0 if not problems else 1
 
 
 def _parse_quota_args(args: argparse.Namespace):
@@ -1088,16 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--archive", default="", help="directory to archive the run")
     _add_jobs_arg(p)
-    p.add_argument(
-        "--cache-dir",
-        default="",
-        help="experiment cache directory (default: $SPIRE_CACHE_DIR if set)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk experiment cache entirely",
-    )
+    # Accepted and ignored: nothing is cached, so every run is --no-cache.
+    p.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
     p.add_argument(
         "--profile",
         action="store_true",
@@ -1128,12 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject oracle divergences into this many guarded kernels",
     )
     p.add_argument(
-        "--corrupt-cache-entries",
-        type=int,
-        default=0,
-        help="truncate the cached experiment entry (requires --cache-dir)",
-    )
-    p.add_argument(
         "--verify-baseline",
         action="store_true",
         help="run a fault-free baseline and require every workload "
@@ -1148,18 +1095,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--persistent",
         action="store_true",
-        help="make faults fire on every execution, not just the first",
+        help="let diverge-kernel faults force every sampled check to "
+        "diverge, not just the first (other kinds fire once per run)",
     )
     p.add_argument(
         "--drift",
         action="store_true",
         help="run the streaming drift scenario: drift-inject one metric "
         "mid-stream, prove refute-and-refine repairs only that metric",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default="",
-        help="experiment cache dir for cache faults (default: no cache)",
     )
     p.add_argument(
         "--profile",
@@ -1223,24 +1166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "doctor",
-        help="verify a cache directory's integrity and quarantine bad entries",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default="",
-        help="cache directory to scan (default: $SPIRE_CACHE_DIR or "
-        "~/.cache/spire/experiments)",
-    )
-    p.add_argument(
-        "--prune",
-        action="store_true",
-        help="delete quarantined files after the scan",
+        help="probe a running `spire serve` process and report its health",
     )
     p.add_argument(
         "--serve-url",
-        default="",
+        required=True,
         metavar="URL",
-        help="probe a running `spire serve` process instead of a cache dir",
+        help="root or /health URL of the `spire serve` process to probe",
     )
     p.set_defaults(func=_cmd_doctor)
 
@@ -1514,7 +1446,7 @@ def main(argv: list[str] | None = None) -> int:
             return _run_profiled(args)
         return args.func(args)
     except (SpireError, OSError) as exc:
-        # Bad config, unreadable cache dir, missing input file: one line,
+        # Bad config, unreachable server, missing input file: one line,
         # exit code 2 — never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ not globally:
 - :mod:`repro.guard.guardrails` — cheap stage-boundary numeric invariant
   checks;
 - :mod:`repro.guard.artifact` — integrity headers, checksum verification
-  and quarantine for on-disk artifacts (plus ``spire doctor`` in
-  :mod:`repro.guard.doctor`);
+  and quarantine for on-disk artifacts (saved models and samples, the
+  serving registry's ``.spm`` files);
 - :mod:`repro.guard.health` — the :class:`HealthReport` telemetry that
   every experiment's :class:`~repro.runtime.runner.RunReport` carries
   (``report.health``) and the CLI renders.

@@ -1,7 +1,7 @@
 """Artifact integrity: headers, verification, atomic writes, quarantine.
 
-Every JSON artifact SPIRE persists — experiment-cache entries, saved
-models and sample sets — carries a shared ``header`` block::
+Every JSON artifact SPIRE persists — saved models and sample sets —
+carries a shared ``header`` block::
 
     {"format": "<schema>/<rev>", "checksum": "sha256:<...>",
      "code_version": "<package version>"}
@@ -11,8 +11,9 @@ the header, so truncation, bit rot and hand-editing are all detectable.
 Loaders verify the schema string and checksum; a mismatched or headerless
 managed artifact is **quarantined** — moved into a ``.quarantine/``
 subdirectory next to the file, never deleted — and recorded in the guard
-health ledger so it surfaces in :class:`~repro.guard.health.HealthReport`
-and can be inspected or pruned by ``spire doctor``.
+health ledger so it surfaces in :class:`~repro.guard.health.HealthReport`.
+The serving registry quarantines its packed ``.spm`` artifacts the same
+way.
 
 Writes here (and in :mod:`repro.io.dataset`) are atomic: content lands in
 a temp file in the destination directory and is moved into place with

@@ -1,121 +1,22 @@
-"""``spire doctor``: scan and repair an experiment cache directory.
+"""``spire doctor``: probe a running ``spire serve`` process.
 
-The doctor verifies the integrity of every cache entry (header present, schema current, checksum matching), quarantines anything
-that fails — the repair: bad entries become cache misses and re-simulate,
-while the evidence stays on disk under ``.quarantine/`` — lists what is
-already quarantined, and optionally prunes the quarantine.
+The doctor fetches the server's ``/health`` document, renders the
+long-lived process state the one-line summary elides (registry, batch
+fill, quotas, rollover, drain, fleet and guard counters) and lists the
+fleet-level problems that should fail a health check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import DataError
-from repro.guard.artifact import quarantine_dir, quarantine_file, verify_payload
 
 __all__ = [
-    "DoctorReport",
-    "doctor_cache_dir",
     "probe_server",
     "render_server_health",
     "server_health_problems",
 ]
-
-
-@dataclass
-class DoctorReport:
-    """Outcome of one cache-directory scan."""
-
-    directory: str
-    entries_scanned: int = 0
-    entries_ok: int = 0
-    entries_quarantined: list[tuple[str, str]] = field(default_factory=list)
-    quarantined_files: list[str] = field(default_factory=list)
-    pruned: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when the scan found nothing wrong and nothing quarantined."""
-        return not (self.entries_quarantined or self.quarantined_files)
-
-    def render(self) -> str:
-        lines = [
-            f"doctor: {self.directory}",
-            f"  entries: {self.entries_ok}/{self.entries_scanned} ok, "
-            f"{len(self.entries_quarantined)} quarantined this scan",
-        ]
-        for name, reason in self.entries_quarantined:
-            lines.append(f"  entry {name}: {reason}")
-        if self.quarantined_files:
-            lines.append(f"  in quarantine ({len(self.quarantined_files)}):")
-            for path in self.quarantined_files:
-                lines.append(f"    {path}")
-        else:
-            lines.append("  quarantine is empty")
-        if self.pruned:
-            lines.append(f"  pruned {len(self.pruned)} quarantined file(s)")
-        if self.ok:
-            lines.append("  cache is healthy")
-        return "\n".join(lines)
-
-
-def _verify_file(path: Path, schema: str) -> str | None:
-    """Why the artifact at ``path`` fails verification, or ``None``."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return f"unreadable: {exc}"
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return f"invalid JSON: {exc}"
-    return verify_payload(payload, schema)
-
-
-def doctor_cache_dir(
-    directory: str | Path, prune: bool = False
-) -> DoctorReport:
-    """Scan an experiment cache directory; quarantine what fails.
-
-    Raises :class:`~repro.errors.DataError` when ``directory`` does not
-    exist.  ``prune=True`` additionally deletes everything sitting in the
-    quarantine subdirectory after the scan.
-    """
-    from repro.runtime.cache import CACHE_FORMAT
-
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise DataError(f"cache directory {directory} does not exist")
-    report = DoctorReport(directory=str(directory))
-
-    for path in sorted(directory.glob("*.json")):
-        report.entries_scanned += 1
-        reason = _verify_file(path, CACHE_FORMAT)
-        if reason is None:
-            report.entries_ok += 1
-        else:
-            quarantine_file(path, reason)
-            report.entries_quarantined.append((path.name, reason))
-
-    root = quarantine_dir(directory)
-    if root.is_dir():
-        for path in sorted(p for p in root.iterdir() if p.is_file()):
-            report.quarantined_files.append(str(path))
-            if prune:
-                try:
-                    path.unlink()
-                    report.pruned.append(str(path))
-                except OSError:
-                    pass
-        if prune:
-            try:
-                root.rmdir()
-            except OSError:
-                pass
-
-    return report
 
 
 def probe_server(url: str, timeout: float = 5.0) -> dict:

@@ -15,16 +15,14 @@ Every benchmark and example builds on these functions.  The workload
 simulations run in this process as one fused mega-batch
 (:mod:`repro.runtime.runner`), bit-identical to simulating each workload
 alone because every workload derives its RNG seed from the experiment
-seed plus its own name.  Results for a given parameter set are memoized
-in-process *and* optionally persisted to a content-addressed disk cache
-(:mod:`repro.runtime.cache`).
+seed plus its own name.  Nothing is written to disk: results for a given
+parameter set are memoized in-process only (:func:`cached_experiment`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 from repro.concurrency import deprecated_jobs
@@ -34,7 +32,6 @@ from repro.fastpath import scalar_fallback_enabled
 from repro.counters import CollectionConfig, CollectionResult, SampleCollector
 from repro.counters.events import default_catalog
 from repro.guard.dispatch import health_report, inject_divergence
-from repro.runtime.cache import ExperimentCache, experiment_cache_key
 from repro.runtime.faults import FaultPlan
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.runner import RunReport, simulate_plan
@@ -147,7 +144,6 @@ def run_experiment(
     train_options: TrainOptions | None = None,
     *,
     jobs: "int | str | None" = None,
-    cache: ExperimentCache | str | Path | None = None,
     faults: FaultPlan | None = None,
 ) -> ExperimentResult:
     """Run the paper's full evaluation: 23 training + 4 testing workloads.
@@ -155,18 +151,16 @@ def run_experiment(
     Every workload simulates in this process as one fused mega-batch,
     then one SPIRE ensemble trains on the pooled training samples.
 
-    ``cache`` (an :class:`~repro.runtime.cache.ExperimentCache` or a cache
-    directory) consults and populates the persistent on-disk experiment
-    cache; a hit skips the simulation entirely.  ``faults`` injects a
-    deterministic :class:`~repro.runtime.faults.FaultPlan` (collector and
-    guard kinds; see ``docs/robustness.md``).
+    ``faults`` injects a deterministic
+    :class:`~repro.runtime.faults.FaultPlan` (collector and guard kinds;
+    see ``docs/robustness.md``).
 
     ``jobs`` is deprecated and ignored.  A given value is still validated
     (an int >= 0 or ``"auto"``) and draws a :class:`DeprecationWarning`.
     """
     deprecated_jobs(jobs)
     result, _ = run_experiment_with_report(
-        config, machine, train_options, cache=cache, faults=faults
+        config, machine, train_options, faults=faults
     )
     return result
 
@@ -177,42 +171,23 @@ def run_experiment_with_report(
     train_options: TrainOptions | None = None,
     *,
     jobs: "int | str | None" = None,
-    cache: ExperimentCache | str | Path | None = None,
     faults: FaultPlan | None = None,
 ) -> tuple[ExperimentResult, RunReport]:
     """:func:`run_experiment` plus the :class:`RunReport` of what happened.
 
     The report lists which tasks the fused engine simulated and which ran
     one at a time, the simulation's wall time, and the guard layer's
-    :class:`~repro.guard.health.HealthReport`.  A cache hit simulates
-    nothing and reports no tasks.
+    :class:`~repro.guard.health.HealthReport`.
     """
     deprecated_jobs(jobs)
     cfg = config or ExperimentConfig()
     mach = machine or skylake_gold_6126()
 
-    # Guard-level faults fire before any dispatch or cache access: a
-    # diverge-kernel spec arms the target kernel's guard to report a
-    # divergence on its next sampled check, and a corrupt-cache-entry
-    # spec truncates the on-disk entry so the load path must recover.
+    # A diverge-kernel spec arms the target kernel's guard to report a
+    # divergence on its next sampled check, before anything dispatches.
     if faults is not None:
         for spec in faults.diverge_kernels():
             inject_divergence(spec.workload, times=spec.times)
-
-    cache_obj = ExperimentCache.resolve(cache)
-    key = ""
-    if cache_obj is not None:
-        key = experiment_cache_key(cfg, mach, train_options)
-        if faults is not None and faults.cache_corruptions():
-            entry = cache_obj.entry_path(key)
-            if entry.exists():
-                data = entry.read_bytes()
-                entry.write_bytes(data[: len(data) // 2])
-        hit = cache_obj.load(key)
-        if hit is not None:
-            report = RunReport()
-            report.health = health_report()
-            return hit, report
 
     plan = ExecutionPlan.for_experiment(cfg, mach)
     runs, report = simulate_plan(plan, faults)
@@ -247,16 +222,16 @@ def run_experiment_with_report(
         testing_runs=testing_runs,
         training_samples=pooled,
     )
-    if cache_obj is not None:
-        cache_obj.store(key, result)
     report.health = health_report()
     return result, report
 
 
-# In-process memo for cached_experiment, keyed by the same content hash
-# as the disk cache so non-default machine/train_options get distinct
-# entries (the old lru_cache keyed only on ExperimentConfig).
-_experiment_memo: dict[str, ExperimentResult] = {}
+# In-process memo for cached_experiment.  ExperimentConfig, MachineConfig
+# and TrainOptions are frozen dataclasses that hash and compare by value,
+# so the input tuple itself is the key.
+_experiment_memo: dict[
+    tuple[ExperimentConfig, MachineConfig, TrainOptions | None], ExperimentResult
+] = {}
 
 
 def cached_experiment(
@@ -265,35 +240,26 @@ def cached_experiment(
     train_options: TrainOptions | None = None,
     *,
     jobs: "int | str | None" = None,
-    cache_dir: str | Path | None = None,
 ) -> ExperimentResult:
     """Memoized :func:`run_experiment` for benchmarks sharing one pass.
 
-    The memo key covers *every* experiment input — config, machine, train
-    options and code version — not just the config.  With ``cache_dir``
-    set, results are additionally persisted to (and reloaded from) the
-    on-disk experiment cache, so separate processes share one simulation.
-    ``jobs`` is deprecated and ignored, as in :func:`run_experiment`.
+    The memo key covers *every* experiment input — config, machine and
+    train options — not just the config.  ``jobs`` is deprecated and
+    ignored, as in :func:`run_experiment`.
     """
     deprecated_jobs(jobs)
     cfg = config or ExperimentConfig()
     mach = machine or skylake_gold_6126()
-    key = experiment_cache_key(cfg, mach, train_options)
+    key = (cfg, mach, train_options)
     result = _experiment_memo.get(key)
     if result is None:
-        result = run_experiment(
-            cfg, machine=mach, train_options=train_options, cache=cache_dir
-        )
+        result = run_experiment(cfg, machine=mach, train_options=train_options)
         _experiment_memo[key] = result
     return result
 
 
 def clear_caches() -> None:
-    """Drop the in-process experiment memo (for tests).
-
-    Disk cache entries are untouched; use
-    :meth:`repro.runtime.cache.ExperimentCache.clear` for those.
-    """
+    """Drop the in-process experiment memo (for tests)."""
     _experiment_memo.clear()
 
 

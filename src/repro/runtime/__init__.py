@@ -1,32 +1,18 @@
-"""Execution runtime: one in-process fused pass, a persistent cache, faults.
+"""Execution runtime: one in-process fused pass plus deterministic faults.
 
 - :class:`ExecutionPlan` lists an experiment's workload tasks, and
   :func:`simulate_plan` runs them all in this process through the fused
   mega-batch engine (:mod:`repro.runtime.fused`), returning the runs in
   plan order plus a :class:`RunReport` of what ran where;
-- :class:`ExperimentCache` persists finished experiments on disk,
-  content-addressed by a fingerprint of every input;
 - :class:`FaultPlan` injects deterministic failures (corrupt sample,
-  dropped metric, corrupted cache entry, diverging kernel, stream drift,
-  serving-worker chaos) to prove the layers that absorb them work — see
-  ``spire faultsim``.
+  dropped metric, diverging kernel, stream drift, serving-worker chaos)
+  to prove the layers that absorb them work — see ``spire faultsim``.
 
 See ``docs/performance.md`` and ``docs/robustness.md`` for the full story.
 """
 
 from repro.concurrency import resolve_jobs
-from repro.runtime.cache import (
-    CACHE_DIR_ENV,
-    CACHE_FORMAT,
-    CACHE_MAX_ENTRIES_ENV,
-    ExperimentCache,
-    experiment_cache_key,
-    experiment_fingerprint,
-    result_from_payload,
-    result_to_payload,
-)
 from repro.runtime.faults import (
-    CORRUPT_CACHE_ENTRY,
     DIVERGE_KERNEL,
     FAULT_KINDS,
     GUARD_KINDS,
@@ -37,23 +23,14 @@ from repro.runtime.plan import ExecutionPlan, WorkloadTask
 from repro.runtime.runner import RunReport, simulate_plan
 
 __all__ = [
-    "CACHE_DIR_ENV",
-    "CACHE_FORMAT",
-    "CACHE_MAX_ENTRIES_ENV",
-    "CORRUPT_CACHE_ENTRY",
     "DIVERGE_KERNEL",
     "FAULT_KINDS",
     "GUARD_KINDS",
     "ExecutionPlan",
-    "ExperimentCache",
     "FaultPlan",
     "FaultSpec",
     "RunReport",
     "WorkloadTask",
-    "experiment_cache_key",
-    "experiment_fingerprint",
     "resolve_jobs",
-    "result_from_payload",
-    "result_to_payload",
     "simulate_plan",
 ]

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the experiment runtime.
 
 Real counter campaigns fail in recurring ways: multiplexing drops a
-counter group, a sample arrives corrupted, a cache file is truncated, a
-serving worker dies.  This module gives each failure mode a first-class,
-*seed-driven* representation so the layers that absorb them
-(:mod:`repro.counters.collector`, :mod:`repro.guard`,
+counter group, a sample arrives corrupted, a guarded kernel diverges
+from its oracle, a serving worker dies.  This module gives each failure
+mode a first-class, *seed-driven* representation so the layers that
+absorb them (:mod:`repro.counters.collector`, :mod:`repro.guard`,
 :mod:`repro.stream`, :mod:`repro.serve`) can be exercised
 deterministically in tests and in the ``spire faultsim`` CLI smoke.
 
@@ -14,9 +14,6 @@ each targeting one workload by name:
 ========================  ====================================================
 ``corrupt-sample``        one collected sample's fields turn NaN
 ``drop-metric``           one metric's counts vanish from the collection
-``corrupt-cache-entry``   the on-disk experiment cache entry is truncated
-                          before the run loads it (the ``workload`` field
-                          is ``"*"`` — the fault targets the whole entry)
 ``diverge-kernel``        one guarded vectorized kernel is forced to report
                           an oracle divergence and trip to scalar (the
                           ``workload`` field names the kernel)
@@ -54,7 +51,6 @@ from repro.errors import ConfigError
 
 CORRUPT_SAMPLE = "corrupt-sample"
 DROP_METRIC = "drop-metric"
-CORRUPT_CACHE_ENTRY = "corrupt-cache-entry"
 DIVERGE_KERNEL = "diverge-kernel"
 DRIFT_INJECT = "drift-inject"
 STALE_WINDOW = "stale-window"
@@ -66,7 +62,6 @@ QUOTA_STORM = "quota-storm"
 FAULT_KINDS = (
     CORRUPT_SAMPLE,
     DROP_METRIC,
-    CORRUPT_CACHE_ENTRY,
     DIVERGE_KERNEL,
     DRIFT_INJECT,
     STALE_WINDOW,
@@ -78,9 +73,9 @@ FAULT_KINDS = (
 
 #: Fault kinds handled inside the collector (they degrade the data).
 COLLECTOR_KINDS = (CORRUPT_SAMPLE, DROP_METRIC)
-#: Fault kinds handled by the guard layer (dispatch sentinels + artifacts);
-#: their ``workload`` field names a kernel or ``"*"``, not a workload.
-GUARD_KINDS = (CORRUPT_CACHE_ENTRY, DIVERGE_KERNEL)
+#: Fault kinds handled by the guard layer's dispatch sentinels; their
+#: ``workload`` field names a kernel, not a workload.
+GUARD_KINDS = (DIVERGE_KERNEL,)
 #: Fault kinds handled by the streaming replay (:mod:`repro.stream.replay`);
 #: ``drift-inject`` shifts one metric's samples off its fitted bound from a
 #: given window onward, ``stale-window`` stalls one window and delivers its
@@ -159,8 +154,8 @@ class FaultPlan:
     def injected_workloads(self) -> list[str]:
         """Targets of collector faults, in spec order, deduplicated.
 
-        Guard- and stream-level faults are excluded — their target field
-        names a kernel, a metric or the cache entry, not a workload.
+        Guard-, stream- and serve-level faults are excluded — their target
+        field names a kernel, a metric, a slot or a model, not a workload.
         """
         seen: dict[str, None] = {}
         for spec in self.specs:
@@ -176,10 +171,6 @@ class FaultPlan:
     def diverge_kernels(self) -> tuple[FaultSpec, ...]:
         """The ``diverge-kernel`` specs; each ``workload`` names a kernel."""
         return tuple(s for s in self.specs if s.kind == DIVERGE_KERNEL)
-
-    def cache_corruptions(self) -> tuple[FaultSpec, ...]:
-        """The ``corrupt-cache-entry`` specs."""
-        return tuple(s for s in self.specs if s.kind == CORRUPT_CACHE_ENTRY)
 
     def stream_faults(self) -> tuple[FaultSpec, ...]:
         """The streaming replay specs; ``workload`` names a metric."""
@@ -200,7 +191,6 @@ class FaultPlan:
         hang_seconds: float = 30.0,
         metrics: Sequence[str] = (),
         diverge_kernels: int = 0,
-        corrupt_cache_entries: int = 0,
         kernels: Sequence[str] = (),
         drift_injects: int = 0,
         stale_windows: int = 0,
@@ -218,8 +208,7 @@ class FaultPlan:
         Data-level victims may overlap with each other.
 
         ``diverge_kernels`` draws victims from ``kernels`` (defaulting to
-        :data:`PARENT_SIDE_KERNELS`); ``corrupt_cache_entries`` targets
-        the run's cache entry.  Their rng draws come after every older
+        :data:`PARENT_SIDE_KERNELS`).  Its rng draws come after every older
         fault kind's, so plans for pre-existing kinds are unchanged for a
         given seed.
         """
@@ -257,10 +246,6 @@ class FaultPlan:
                     kind=DIVERGE_KERNEL,
                     times=times,
                 )
-            )
-        for _ in range(corrupt_cache_entries):
-            specs.append(
-                FaultSpec(workload="*", kind=CORRUPT_CACHE_ENTRY, times=times)
             )
 
         # Stream kinds are format-3: again, all their draws come last.
@@ -334,7 +319,6 @@ class FaultPlan:
 
 __all__ = [
     "COLLECTOR_KINDS",
-    "CORRUPT_CACHE_ENTRY",
     "CORRUPT_SAMPLE",
     "DIVERGE_KERNEL",
     "DRIFT_INJECT",

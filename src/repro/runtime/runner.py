@@ -38,7 +38,7 @@ class RunReport:
     #: Tasks simulated one at a time: collector-fault targets, or every
     #: task once the ``fused_experiment`` breaker has tripped.
     per_workload: list[str] = field(default_factory=list)
-    #: Wall seconds spent simulating (0 when the cache served the run).
+    #: Wall seconds spent simulating, timed once around the dispatch.
     elapsed: float = 0.0
     #: Guard-layer telemetry (oracle checks, kernel trips, guardrail hits,
     #: quarantined artifacts), attached by the experiment pipeline.

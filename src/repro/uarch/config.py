@@ -11,7 +11,7 @@ resulting counter statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 
@@ -22,18 +22,6 @@ class PortSpec:
 
     name: str
     uop_classes: frozenset[str]
-
-    def to_dict(self) -> dict:
-        # uop_classes is a frozenset; sort it so the serialized form is
-        # stable across processes (set iteration order is hash-dependent).
-        return {"name": self.name, "uop_classes": sorted(self.uop_classes)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PortSpec":
-        return cls(
-            name=str(payload["name"]),
-            uop_classes=frozenset(payload["uop_classes"]),
-        )
 
 
 def _default_ports() -> tuple[PortSpec, ...]:
@@ -124,35 +112,6 @@ class MachineConfig:
 
     def cycles_per_second(self) -> float:
         return self.frequency_ghz * 1e9
-
-    def to_dict(self) -> dict:
-        """A canonical, JSON-friendly form of the full configuration.
-
-        Every field is included and all unordered collections are sorted,
-        so the result is byte-stable across processes and usable both for
-        persistence and for content-addressed cache keys.
-        """
-        payload = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "ports":
-                value = [port.to_dict() for port in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            payload[spec.name] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MachineConfig":
-        kwargs = dict(payload)
-        kwargs["ports"] = tuple(
-            PortSpec.from_dict(port) for port in payload["ports"]
-        )
-        if "supported_vector_bits" in kwargs:
-            kwargs["supported_vector_bits"] = tuple(
-                int(b) for b in kwargs["supported_vector_bits"]
-            )
-        return cls(**kwargs)
 
 
 def skylake_gold_6126() -> MachineConfig:

@@ -367,6 +367,42 @@ class TestReportDefaults:
             main(["report", "--help"])
         assert "--jobs" not in capsys.readouterr().out
 
+    def test_cold_report_leaves_nothing_on_disk(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        home, cwd, cache = (tmp_path / d for d in ("home", "cwd", "cache"))
+        for directory in (home, cwd, cache):
+            directory.mkdir()
+        src = Path(__file__).resolve().parent.parent / "src"
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "report",
+             "--train-windows", "48", "--test-windows", "24"],
+            capture_output=True, text=True, check=True, cwd=cwd,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin",
+                 "HOME": str(home), "SPIRE_CACHE_DIR": str(cache)},
+        )
+        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
+    def test_cache_flags_removed(self, capsys):
+        # --no-cache is the one cache-era flag still accepted, and hidden.
+        with pytest.raises(SystemExit):
+            main(["report", "--help"])
+        assert "--no-cache" not in capsys.readouterr().out
+        for argv in (
+            ["report", "--cache-dir", "x"],
+            ["faultsim", "--cache-dir", "x"],
+            ["faultsim", "--corrupt-cache-entries", "1"],
+            ["doctor", "--serve-url", "http://127.0.0.1:1", "--cache-dir", "x"],
+            ["doctor", "--serve-url", "http://127.0.0.1:1", "--prune"],
+            ["doctor"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        capsys.readouterr()
+
 
 class TestDerived:
     def test_derived_metrics_printed(self, capsys):

@@ -3,10 +3,8 @@
 Covers the sampled oracle checks and per-kernel circuit breakers
 (:mod:`repro.guard.dispatch`), the stage-boundary numeric guardrails
 (:mod:`repro.guard.guardrails`), artifact integrity headers, atomic
-writes and quarantine (:mod:`repro.guard.artifact`), the ``spire
-doctor`` scanner (:mod:`repro.guard.doctor`), and the end-to-end
-``diverge-kernel`` / ``corrupt-cache-entry`` faults through
-``run_experiment_with_report``.
+writes and quarantine (:mod:`repro.guard.artifact`), and the end-to-end
+``diverge-kernel`` fault through ``run_experiment_with_report``.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from repro.guard.dispatch import (
     registry,
     reset_guards,
 )
-from repro.guard.doctor import doctor_cache_dir
 from repro.guard.guardrails import (
     check_bound_violation,
     check_estimates,
@@ -454,108 +451,26 @@ class TestDatasetIntegrity:
 
 
 # ---------------------------------------------------------------------------
-# doctor
-# ---------------------------------------------------------------------------
-
-
-class TestDoctor:
-    def seed_cache(self, tmp_path):
-        from repro.core.sample import Sample, SampleSet  # noqa: F401 - import check
-        from repro.pipeline import ExperimentConfig, run_experiment
-
-        config = ExperimentConfig(train_windows=24, test_windows=12)
-        run_experiment(config, cache=tmp_path)
-        return config
-
-    def test_clean_dir_is_ok(self, tmp_path):
-        self.seed_cache(tmp_path)
-        report = doctor_cache_dir(tmp_path)
-        assert report.ok
-        assert report.entries_ok == 1
-        assert "1/1 ok" in report.render()
-
-    def test_truncated_entry_quarantined(self, tmp_path):
-        self.seed_cache(tmp_path)
-        entry = next(tmp_path.glob("*.json"))
-        entry.write_text(entry.read_text()[: 100])
-        report = doctor_cache_dir(tmp_path)
-        assert not report.ok
-        assert report.entries_quarantined
-        assert "invalid JSON" in report.entries_quarantined[0][1]
-        assert not entry.exists()
-        assert list(quarantine_dir(tmp_path).iterdir())
-
-    def test_version_skew_quarantined(self, tmp_path):
-        self.seed_cache(tmp_path)
-        entry = next(tmp_path.glob("*.json"))
-        payload = json.loads(entry.read_text())
-        payload["header"]["format"] = "spire-expcache/99"
-        payload["format"] = "spire-expcache/99"
-        entry.write_text(json.dumps(payload))
-        report = doctor_cache_dir(tmp_path)
-        assert not report.ok
-        assert "schema mismatch" in report.entries_quarantined[0][1]
-
-    def test_checksum_corruption_quarantined(self, tmp_path):
-        self.seed_cache(tmp_path)
-        entry = next(tmp_path.glob("*.json"))
-        payload = json.loads(entry.read_text())
-        payload["fingerprint"] = {"tampered": True}
-        entry.write_text(json.dumps(payload))
-        report = doctor_cache_dir(tmp_path)
-        assert not report.ok
-        assert "checksum mismatch" in report.entries_quarantined[0][1]
-
-    def test_prune_empties_quarantine(self, tmp_path):
-        self.seed_cache(tmp_path)
-        entry = next(tmp_path.glob("*.json"))
-        entry.write_text("garbage")
-        doctor_cache_dir(tmp_path)
-        report = doctor_cache_dir(tmp_path, prune=True)
-        assert len(report.pruned) == 1
-        assert not quarantine_dir(tmp_path).exists() or not list(
-            quarantine_dir(tmp_path).iterdir()
-        )
-
-    def test_missing_dir_raises(self, tmp_path):
-        with pytest.raises(DataError):
-            doctor_cache_dir(tmp_path / "nope")
-
-
-# ---------------------------------------------------------------------------
 # end-to-end: guard faults through the experiment pipeline
 # ---------------------------------------------------------------------------
 
 
 class TestGuardFaultsEndToEnd:
-    def test_diverge_and_corrupt_cache_entry(self, tmp_path):
+    def test_diverge_kernel(self):
         from repro.pipeline import ExperimentConfig, run_experiment_with_report
-        from repro.runtime.faults import (
-            CORRUPT_CACHE_ENTRY,
-            DIVERGE_KERNEL,
-            FaultPlan,
-            FaultSpec,
-        )
+        from repro.runtime.faults import DIVERGE_KERNEL, FaultPlan, FaultSpec
 
         config = ExperimentConfig(train_windows=24, test_windows=12)
-        baseline, _ = run_experiment_with_report(config, cache=tmp_path)
+        baseline, _ = run_experiment_with_report(config)
 
         reset_guards()
-        faults = FaultPlan(
-            specs=(
-                FaultSpec(workload="train", kind=DIVERGE_KERNEL),
-                FaultSpec(workload="*", kind=CORRUPT_CACHE_ENTRY),
-            )
-        )
+        faults = FaultPlan(specs=(FaultSpec(workload="train", kind=DIVERGE_KERNEL),))
         with pytest.warns(DegradedDataWarning):
-            result, report = run_experiment_with_report(
-                config, cache=tmp_path, faults=faults
-            )
+            result, report = run_experiment_with_report(config, faults=faults)
 
         assert report.health is not None
         assert report.health.tripped_kernels == ["train"]
         assert all(e.injected for e in report.health.divergences)
-        assert report.health.artifacts_quarantined  # the corrupted entry
         # The injected divergence must not change any numbers.
         for name, run in (result.training_runs | result.testing_runs).items():
             ref = baseline.training_runs.get(name) or baseline.testing_runs[name]
@@ -570,20 +485,14 @@ class TestGuardFaultsEndToEnd:
         from repro.runtime.faults import FaultPlan
 
         names = [f"w{i}" for i in range(8)]
-        plan_a = FaultPlan.random(
-            names, seed=11, diverge_kernels=2, corrupt_cache_entries=1
-        )
-        plan_b = FaultPlan.random(
-            names, seed=11, diverge_kernels=2, corrupt_cache_entries=1
-        )
+        plan_a = FaultPlan.random(names, seed=11, diverge_kernels=2)
+        plan_b = FaultPlan.random(names, seed=11, diverge_kernels=2)
         assert plan_a == plan_b
         assert len(plan_a.diverge_kernels()) == 2
-        assert len(plan_a.cache_corruptions()) == 1
         # Older fault kinds keep their victims when new kinds are added.
         old = FaultPlan.random(names, seed=11, corrupt_samples=2)
         new = FaultPlan.random(
-            names, seed=11, corrupt_samples=2, diverge_kernels=1,
-            corrupt_cache_entries=1,
+            names, seed=11, corrupt_samples=2, diverge_kernels=1
         )
         assert new.specs[: len(old.specs)] == old.specs
         # Guard faults never count as workload injections.
